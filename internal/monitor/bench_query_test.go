@@ -20,7 +20,9 @@ import (
 // The query-plane benchmarks behind BENCH_query.json: concurrent query
 // throughput through the pipelined protocol (8 clients, 1 vs 16 requests
 // in flight per connection), Gorilla decode cost per sample, and the
-// replica layer's compression ratio on realistic trace data.
+// replica layer's compression ratio on realistic trace data. Alongside
+// them, BenchmarkQueryClient measures the same reads through QueryClient,
+// decode included.
 
 // benchQueryWarehouse builds a warehouse holding `servers` servers with a
 // 30-day hourly history — the paper's planning window, so every series
@@ -154,6 +156,57 @@ func BenchmarkQueryThroughput(b *testing.B) {
 			benchQueryThroughput(b, shape.clients, shape.inflight)
 		})
 	}
+}
+
+// BenchmarkQueryClient is BenchmarkQueryThroughput's client-inclusive
+// counterpart: 16 callers share one QueryClient and each operation is a
+// full HourlySeries call for a 30-day window — request encode, server,
+// response framing, and the decode into a trace.Series on the caller.
+func BenchmarkQueryClient(b *testing.B) {
+	const servers, callers = 8, 16
+	addr := benchQueryWarehouse(b, servers)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	c, err := DialQuery(ctx, addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	spec := trace.Spec{CPURPE2: 1000, MemMB: 16384}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				id := trace.ServerID(fmt.Sprintf("bench-%02d", i%servers))
+				series, err := c.HourlySeries(id, spec, benchEpoch)
+				if err == nil && series.Len() != 30*24 {
+					err = fmt.Errorf("%s: %d hours, want %d", id, series.Len(), 30*24)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/sec")
 }
 
 // BenchmarkGorillaDecode measures the replica read tax: decoding one

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -74,43 +75,109 @@ type queryRequest struct {
 	Host        string `json:"host,omitempty"`
 }
 
-// querySample is one hourly aggregate on the wire.
-type querySample struct {
-	CPU float64 `json:"cpu"`
-	Mem float64 `json:"mem"`
-}
-
-// queryResponse is the wire format of one response. Samples is kept as raw
-// JSON so the server can splice in a payload memoized on the replica
-// snapshot without re-marshaling it per request.
+// queryResponse is the wire format of one response.
 type queryResponse struct {
 	ID      uint64           `json:"id,omitempty"`
 	OK      bool             `json:"ok"`
 	Error   string           `json:"error,omitempty"`
 	Servers []trace.ServerID `json:"servers,omitempty"`
 	Stats   *Stat            `json:"stats,omitempty"`
-	Samples json.RawMessage  `json:"samples,omitempty"`
 	Points  []RangePoint     `json:"points,omitempty"`
 	Advice  *Advice          `json:"advice,omitempty"`
 
-	// body, when set server-side, is the pre-marshaled response line after
-	// its opening brace (a replica cache hit); the writer splices the id in
-	// front instead of marshaling the struct. Never serialized itself.
+	// body, when set server-side, is the pre-encoded response line after
+	// its opening brace (every series answer); the writer splices the id
+	// in front instead of marshaling the struct. Never serialized itself.
 	body []byte
 }
 
 // clientResponse is the client's decode target: the same wire shape as
-// queryResponse but with samples parsed in place, so a series response
-// costs one JSON parse, not a raw capture plus a second parse.
+// queryResponse, with a series answer's {"cpu":…,"mem":…} objects decoded
+// straight into trace.Usage (encoding/json matches the keys to its CPU and
+// Mem fields case-insensitively).
 type clientResponse struct {
 	ID      uint64           `json:"id,omitempty"`
 	OK      bool             `json:"ok"`
 	Error   string           `json:"error,omitempty"`
 	Servers []trace.ServerID `json:"servers,omitempty"`
 	Stats   *Stat            `json:"stats,omitempty"`
-	Samples []querySample    `json:"samples,omitempty"`
+	Samples []trace.Usage    `json:"samples,omitempty"`
 	Points  []RangePoint     `json:"points,omitempty"`
 	Advice  *Advice          `json:"advice,omitempty"`
+}
+
+// appendSeriesBody appends a series answer's response body after its
+// opening brace, `"ok":true,"samples":[{"cpu":…,"mem":…},…]}`, byte-
+// identical to what json.Marshal produced for the same values. A
+// non-finite value fails with json.Marshal's own error.
+func appendSeriesBody(dst []byte, samples []trace.Usage) ([]byte, error) {
+	dst = slices.Grow(dst, 24+48*len(samples)) // typical full-precision sizes
+	dst = append(dst, `"ok":true,"samples":[`...)
+	for i, u := range samples {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var ok bool
+		dst = append(dst, `{"cpu":`...)
+		if dst, ok = appendFloatJSON(dst, u.CPU); !ok {
+			return nil, unsupportedFloat(u.CPU)
+		}
+		dst = append(dst, `,"mem":`...)
+		if dst, ok = appendFloatJSON(dst, u.Mem); !ok {
+			return nil, unsupportedFloat(u.Mem)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']', '}'), nil
+}
+
+// unsupportedFloat is the error json.Marshal reports for f.
+func unsupportedFloat(f float64) error {
+	_, err := json.Marshal(f)
+	return err
+}
+
+// decodeQueryResponse decodes one response line exactly as json.Unmarshal
+// into clientResponse would. A series answer in the server's own shape
+// goes through the strict wire parser straight into []trace.Usage; any
+// other line takes encoding/json.
+func decodeQueryResponse(line []byte) (clientResponse, error) {
+	if resp, ok := parseSeriesResponse(line); ok {
+		return resp, nil
+	}
+	var resp clientResponse
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return clientResponse{}, err
+	}
+	return resp, nil
+}
+
+// parseSeriesResponse parses `{"id":N,` + appendSeriesBody's exact output;
+// ok=false on any deviation, leaving the verdict to encoding/json.
+func parseSeriesResponse(line []byte) (clientResponse, bool) {
+	p := wireParser{b: line}
+	id, ok := p.responseID()
+	if !ok || !p.lit(`"ok":true,"samples":[`) {
+		return clientResponse{}, false
+	}
+	samples := make([]trace.Usage, 0, bytes.Count(line[p.pos:], []byte{'{'}))
+	for !p.eat(']') {
+		if len(samples) > 0 && !p.eat(',') || !p.lit(`{"cpu":`) {
+			return clientResponse{}, false
+		}
+		var u trace.Usage
+		if u.CPU, ok = p.num(); !ok || !p.lit(`,"mem":`) {
+			return clientResponse{}, false
+		}
+		if u.Mem, ok = p.num(); !ok || !p.eat('}') {
+			return clientResponse{}, false
+		}
+		samples = append(samples, u)
+	}
+	if !p.eat('}') || p.pos != len(line) {
+		return clientResponse{}, false
+	}
+	return clientResponse{ID: id, OK: true, Samples: samples}, true
 }
 
 // DefaultQueryWorkers sizes the pipelined worker pool when Workers is 0.
@@ -338,7 +405,7 @@ func (qc *queryConn) writeResp(resp queryResponse) bool {
 	}
 	var werr error
 	if resp.body != nil {
-		// Pre-marshaled body: splice {"id":N, + body (or just { + body for
+		// Pre-encoded body: splice {"id":N, + body (or just { + body for
 		// an id-less response) straight into the write buffer — byte-
 		// identical to marshaling the struct, with no per-response line.
 		var hdrArr [32]byte
@@ -521,10 +588,11 @@ func (qs *QueryServer) serveConn(conn net.Conn) {
 	}
 }
 
-// readQueryLine returns the next newline-terminated request, tolerating
-// lines larger than the reader's buffer up to maxLine (scratch carries the
-// reassembly buffer between calls). A trailing unterminated line at EOF is
-// returned as a final request, matching the scanner this replaced.
+// readQueryLine returns the next newline-terminated line (a request on
+// the server, a response on the client), tolerating lines larger than the
+// reader's buffer up to maxLine (scratch carries the reassembly buffer
+// between calls). A trailing unterminated line at EOF is returned as a
+// final line, matching the scanner this replaced.
 func readQueryLine(rd *bufio.Reader, scratch *[]byte, maxLine int) ([]byte, error) {
 	line, err := rd.ReadSlice('\n')
 	if err == nil || (err == io.EOF && len(line) > 0) {
@@ -576,7 +644,7 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 		}
 		spec := trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}
 		if useRep {
-			// Replica answers come pre-marshaled: the response body is
+			// Replica answers come pre-encoded: the response body is
 			// memoized on the immutable snapshot generation, so repeated
 			// questions (every planner pulls the same fleet each interval)
 			// skip the aggregation and the entire response encode.
@@ -590,15 +658,11 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
-		samples := make([]querySample, series.Len())
-		for i, u := range series.Samples {
-			samples[i] = querySample{CPU: u.CPU, Mem: u.Mem}
-		}
-		data, err := json.Marshal(samples)
+		body, err := appendSeriesBody(nil, series.Samples)
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
-		return queryResponse{OK: true, Samples: data}
+		return queryResponse{OK: true, body: body}
 	case "range":
 		if req.Server == "" {
 			return queryResponse{Error: "range: missing server"}
@@ -653,8 +717,10 @@ func (qs *QueryServer) Close() error {
 
 // QueryClient is the planner-side client of the query protocol. It holds
 // one pipelined connection and is safe for concurrent use: every request
-// carries an id, a reader goroutine demultiplexes responses, and any
-// number of calls may be in flight at once.
+// carries an id, a reader goroutine demultiplexes response lines by that
+// id, and any number of calls may be in flight at once. The reader only
+// frames lines; each call decodes its own response on its own goroutine,
+// so decoding spreads over the callers instead of queuing behind one.
 type QueryClient struct {
 	// Timeout bounds each request/response exchange (0 disables) so a
 	// hung server cannot stall the control loop indefinitely.
@@ -675,7 +741,7 @@ type QueryClient struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan clientResponse
+	pending map[uint64]chan *[]byte // response line, from linePool
 	readErr error
 
 	readerOnce sync.Once
@@ -693,7 +759,7 @@ func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
 		conn:    conn,
 		bw:      bw,
 		enc:     json.NewEncoder(bw),
-		pending: make(map[uint64]chan clientResponse),
+		pending: make(map[uint64]chan *[]byte),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -701,31 +767,54 @@ func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
 // Close releases the connection; in-flight calls fail.
 func (c *QueryClient) Close() error { return c.conn.Close() }
 
+// linePool recycles the client's response line buffers.
+var linePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // startReader begins demultiplexing responses by id. Started lazily so a
 // client that is dialed but never used costs no goroutine.
 func (c *QueryClient) startReader() {
 	go func() {
-		dec := json.NewDecoder(bufio.NewReader(c.conn))
+		defer close(c.done)
+		rd := bufio.NewReaderSize(c.conn, 64<<10)
+		var scratch []byte
 		for {
-			var resp clientResponse
-			if err := dec.Decode(&resp); err != nil {
-				c.mu.Lock()
-				if c.readErr == nil {
-					c.readErr = fmt.Errorf("monitor: read response: %w", err)
-				}
-				c.mu.Unlock()
-				close(c.done)
+			// No line limit: the client trusts its server's answer sizes.
+			line, err := readQueryLine(rd, &scratch, math.MaxInt)
+			if err != nil {
+				c.poison(fmt.Errorf("monitor: read response: %w", err))
+				return
+			}
+			line = bytes.TrimSuffix(line, []byte{'\n'})
+			p := wireParser{b: line}
+			id, ok := p.responseID()
+			if !ok {
+				c.poison(errors.New("monitor: read response: line without a response id"))
 				return
 			}
 			c.mu.Lock()
-			ch := c.pending[resp.ID]
-			delete(c.pending, resp.ID)
+			ch := c.pending[id]
+			delete(c.pending, id)
 			c.mu.Unlock()
 			if ch != nil {
-				ch <- resp
+				buf := linePool.Get().(*[]byte)
+				*buf = append((*buf)[:0], line...)
+				ch <- buf
 			}
 		}
 	}()
+}
+
+// poison fails the client for good: the first error sticks as readErr and
+// the connection closes, so the reader exits and every pending call fails.
+func (c *QueryClient) poison(err error) error {
+	c.mu.Lock()
+	if c.readErr == nil {
+		c.readErr = err
+	}
+	err = c.readErr
+	c.mu.Unlock()
+	c.conn.Close()
+	return err
 }
 
 func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
@@ -733,7 +822,7 @@ func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
 	id := c.nextID.Add(1)
 	req.ID = id
 	req.Consistent = req.Consistent || c.Consistent
-	ch := make(chan clientResponse, 1)
+	ch := make(chan *[]byte, 1)
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -771,7 +860,14 @@ func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
 		timeout = t.C
 	}
 	select {
-	case resp := <-ch:
+	case line := <-ch:
+		resp, err := decodeQueryResponse(*line)
+		linePool.Put(line)
+		if err != nil {
+			// An undecodable line means the stream can no longer be
+			// trusted, exactly as when the reader itself fails.
+			return clientResponse{}, c.poison(fmt.Errorf("monitor: read response: %w", err))
+		}
 		if !resp.OK {
 			return clientResponse{}, fmt.Errorf("monitor: query failed: %s", resp.Error)
 		}
@@ -830,11 +926,7 @@ func (c *QueryClient) HourlySeriesWindow(id trace.ServerID, spec trace.Spec, epo
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]trace.Usage, len(resp.Samples))
-	for i, s := range resp.Samples {
-		samples[i] = trace.Usage{CPU: s.CPU, Mem: s.Mem}
-	}
-	return trace.NewSeries(time.Hour, samples)
+	return trace.NewSeries(time.Hour, resp.Samples)
 }
 
 // Range fetches the raw samples with from <= ts < to (UnixNano).

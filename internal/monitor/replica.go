@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -117,7 +116,7 @@ type replicaShard struct {
 	servers   map[trace.ServerID]*replicaStore
 	ids       []trace.ServerID // sorted
 
-	// seriesCache memoizes marshaled series answers on this snapshot
+	// seriesCache memoizes encoded series answers on this snapshot
 	// generation. The snapshot is immutable, so an answer computed once is
 	// the answer for the generation's whole lifetime — a cache the mutable
 	// live shards could never keep. Dropped wholesale with the shard on the
@@ -541,7 +540,7 @@ func (r *replicaSet) hourlySeries(id trace.ServerID, spec trace.Spec, epoch time
 	return trace.NewSeries(time.Hour, windowTail(out, lastHours))
 }
 
-// seriesJSON answers a series request as its pre-marshaled response body
+// seriesJSON answers a series request as its pre-encoded response body
 // (the bytes after the line's opening brace), memoized on the server's
 // shard snapshot. The computation runs against the same snapshot
 // generation the cache lives on, so an entry can never mix generations;
@@ -584,21 +583,10 @@ func (r *replicaSet) seriesJSON(id trace.ServerID, spec trace.Spec, epoch time.T
 			c.err = err
 			break
 		}
-		out = windowTail(out, lastHours)
-		samples := make([]querySample, len(out))
-		for i, u := range out {
-			samples[i] = querySample{CPU: u.CPU, Mem: u.Mem}
-		}
-		data, err := json.Marshal(samples)
+		body, err := appendSeriesBody(nil, windowTail(out, lastHours))
 		if err != nil {
-			return nil, err // never caches a marshal failure
+			return nil, err // never caches an encode failure
 		}
-		// Exactly the bytes json.Marshal(queryResponse{OK: true,
-		// Samples: data}) produces, minus the opening brace.
-		body := make([]byte, 0, len(data)+24)
-		body = append(body, `"ok":true,"samples":`...)
-		body = append(body, data...)
-		body = append(body, '}')
 		c.body = body
 	}
 	rep.cacheMu.Lock()

@@ -131,9 +131,9 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 
 			spec := trace.Spec{CPURPE2: 11900, MemMB: 131072}
 			epochs := []time.Time{
-				epoch,                           // hour-aligned: bucket fast path
-				epoch.Add(17 * time.Minute),     // unaligned: decode-scan fallback
-				epoch.Add(-240 * time.Hour),     // aligned, far before data
+				epoch,                       // hour-aligned: bucket fast path
+				epoch.Add(17 * time.Minute), // unaligned: decode-scan fallback
+				epoch.Add(-240 * time.Hour), // aligned, far before data
 				time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC), // pre-indexable epoch
 			}
 			for _, id := range liveIDs {
@@ -166,9 +166,9 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				base := epoch.UnixNano()
 				windows := [][2]int64{
 					{base, base + int64(time.Hour)},
-					{base - int64(24 * time.Hour), base + int64(90 * 24 * time.Hour)},
-					{base + int64(13 * time.Hour), base + int64(14 * time.Hour)},
-					{base + int64(400 * 24 * time.Hour), base + int64(401 * 24 * time.Hour)},
+					{base - int64(24*time.Hour), base + int64(90*24*time.Hour)},
+					{base + int64(13*time.Hour), base + int64(14*time.Hour)},
+					{base + int64(400*24*time.Hour), base + int64(401*24*time.Hour)},
 					{base + int64(time.Hour), base}, // inverted: empty
 				}
 				for wi, win := range windows {

@@ -11,12 +11,20 @@ import (
 )
 
 // encodeSamples writes samples as JSON lines — the snapshot format, kept
-// byte-identical to the pre-shard json.Encoder output.
+// byte-identical to the pre-shard json.Encoder output through the wire
+// codec's emit-exact-or-fall-back encoder.
 func encodeSamples(out io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
-	for _, s := range samples {
-		if err := enc.Encode(s); err != nil {
+	fc := floatCachePool.Get().(*floatCache)
+	defer floatCachePool.Put(fc)
+	line := make([]byte, 0, 512) // one sample line is ~350 bytes
+	for i := range samples {
+		var err error
+		if line, err = appendSampleWire(line[:0], &samples[i], fc); err != nil {
+			return fmt.Errorf("monitor: snapshot: %w", err)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("monitor: snapshot: %w", err)
 		}
 	}

@@ -229,6 +229,38 @@ func (p *wireParser) eat(c byte) bool {
 	return false
 }
 
+// lit consumes the literal s.
+func (p *wireParser) lit(s string) bool {
+	if len(p.b)-p.pos >= len(s) && string(p.b[p.pos:p.pos+len(s)]) == s {
+		p.pos += len(s)
+		return true
+	}
+	return false
+}
+
+// responseID consumes the `{"id":N,` prefix a pipelined query response
+// starts with. N follows the JSON number grammar for a uint64: no sign,
+// fraction, exponent or leading zero, and no overflow.
+func (p *wireParser) responseID() (uint64, bool) {
+	if !p.lit(`{"id":`) {
+		return 0, false
+	}
+	start := p.pos
+	var id uint64
+	for p.pos < len(p.b) && p.b[p.pos] >= '0' && p.b[p.pos] <= '9' {
+		d := uint64(p.b[p.pos] - '0')
+		if id > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		id = id*10 + d
+		p.pos++
+	}
+	if n := p.pos - start; n == 0 || (n > 1 && p.b[start] == '0') {
+		return 0, false
+	}
+	return id, p.eat(',')
+}
+
 // str scans a quoted plain-ASCII string with no escapes and returns its
 // contents. Non-ASCII bytes bail to the fallback, which applies
 // encoding/json's invalid-UTF-8 replacement rules.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,4 +216,48 @@ func FuzzDecodeSample(f *testing.F) {
 			t.Fatalf("decodeSample(%q)\n got %+v\nwant %+v", line, got, want)
 		}
 	})
+}
+
+// TestEncodeSamplesMatchesEncoder: the checkpoint/snapshot writer emits
+// exactly json.Encoder's bytes, fallback shapes included, so the restore
+// format and the WAL's bytes per sample cannot move.
+func TestEncodeSamplesMatchesEncoder(t *testing.T) {
+	samples := []Sample{
+		{},
+		{Server: `q"uote`, Timestamp: time.Unix(0, 0).UTC()},
+		{Server: "a<b&c>", Timestamp: time.Unix(0, 0).UTC(), MemCommittedMB: 1e21},
+		{Server: "καλημέρα", Timestamp: time.Date(2012, 6, 4, 0, 0, 0, 5, time.UTC)},
+		{Server: "edge", Timestamp: time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+			TotalProcessorPct: math.Copysign(0, -1), PagesPerSec: 5e-324, TCPConnsV6: math.MaxFloat64},
+	}
+	for i := 0; i < 300; i++ {
+		samples = append(samples, wireSample(i%40)) // repeats exercise the float memo
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, s := range samples {
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := encodeSamples(&got, samples); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("encodeSamples differs from json.Encoder:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+
+	// Samples json.Encoder refuses — a non-finite value, a year past
+	// 9999 — fail with its error text.
+	for _, bad := range []Sample{
+		{Server: "nan", Timestamp: time.Unix(0, 0).UTC(), PagesPerSec: math.NaN()},
+		{Server: "far-future", Timestamp: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		wantErr := json.NewEncoder(io.Discard).Encode(bad)
+		err := encodeSamples(io.Discard, append(samples[:3:3], bad))
+		if wantErr == nil || err == nil || err.Error() != "monitor: snapshot: "+wantErr.Error() {
+			t.Fatalf("encodeSamples(%+v) err = %v; json.Encoder err = %v", bad, err, wantErr)
+		}
+	}
 }

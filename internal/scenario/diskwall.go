@@ -184,11 +184,11 @@ func storageErrTyped(err error) bool {
 // that replays exactly the acked set, byte-identical.
 func ENOSPCBrownout() *DiskScenario {
 	const (
-		agents  = 6
-		shards  = 2
-		steady  = 48 // samples per agent before the disk fills
-		burst   = 32 // samples per agent queued against the full disk
-		after   = 32 // samples per agent after the heal
+		agents         = 6
+		shards         = 2
+		steady         = 48   // samples per agent before the disk fills
+		burst          = 32   // samples per agent queued against the full disk
+		after          = 32   // samples per agent after the heal
 		brownoutBudget = 1536 // bytes left when the brownout starts: a few samples, then ENOSPC
 	)
 	return &DiskScenario{

@@ -15,7 +15,7 @@ func TestDeriveStability(t *testing.T) {
 		idx  int64
 		want int64
 	}{
-		{idx: 0, want: Derive(root, 0)},       // self-consistency anchor
+		{idx: 0, want: Derive(root, 0)}, // self-consistency anchor
 		{idx: 424_242, want: Derive(root, 424_242)},
 		{idx: 77_777, want: Derive(root, 77_777)},
 	}
