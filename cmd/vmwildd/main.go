@@ -16,11 +16,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -41,7 +38,6 @@ func run() error {
 		interval     = flag.Duration("interval", 2*time.Hour, "consolidation interval")
 		retention    = flag.Duration("retention", 30*24*time.Hour, "sample retention")
 		ingestShards = flag.Int("ingest-shards", vmwild.DefaultIngestShards, "warehouse ingest shard count (also the WAL lane count)")
-		snapshot     = flag.String("snapshot", "", "restore this snapshot file at startup and rewrite it on shutdown")
 		walDir       = flag.String("wal-dir", "", "journal accepted samples to a write-ahead log in this directory and recover from it at startup")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "WAL appends between warehouse checkpoints (0 = default 4096)")
@@ -83,7 +79,6 @@ func run() error {
 		interval:     *interval,
 		retention:    *retention,
 		ingestShards: *ingestShards,
-		snapshotPath: *snapshot,
 		walDir:       *walDir,
 		fsync:        *fsync,
 		ckptEvery:    *ckptEvery,
@@ -108,7 +103,6 @@ type serveConfig struct {
 	listen, queryListen string
 	interval, retention time.Duration
 	ingestShards        int
-	snapshotPath        string
 	walDir, fsync       string
 	ckptEvery           int
 	healthListen        string
@@ -126,11 +120,11 @@ type serveConfig struct {
 	faultSeed           int64
 }
 
-// storageFS picks the filesystem the durable paths run on: the real OS,
-// or — when -disk-fault-profile asks for it — a seeded fault injector
-// rooted at the durable directory. A dev/test hook: it lets an operator
-// rehearse the daemon's ENOSPC shedding, poisoned-segment handling and
-// crash recovery without sacrificing a disk.
+// storageFS picks the filesystem the WAL runs on: the real OS, or — when
+// -disk-fault-profile asks for it — a seeded fault injector rooted at the
+// WAL directory. A dev/test hook: it lets an operator rehearse the
+// daemon's ENOSPC shedding, poisoned-segment handling and crash recovery
+// without sacrificing a disk.
 func (cfg serveConfig) storageFS(root string) (vmwild.FS, error) {
 	prof, err := vmwild.ParseFaultProfile(cfg.faultProfile)
 	if err != nil {
@@ -146,23 +140,12 @@ func (cfg serveConfig) storageFS(root string) (vmwild.FS, error) {
 
 // serve runs the daemon against real agents until SIGINT/SIGTERM.
 func serve(cfg serveConfig) error {
-	if cfg.walDir != "" && cfg.snapshotPath != "" {
-		// The WAL checkpoints subsume shutdown snapshots; restoring both
-		// would double-count every sample the snapshot shares with the log.
-		return errors.New("-snapshot and -wal-dir are mutually exclusive")
+	// The WAL is the one durable path; its filesystem is rooted at the WAL
+	// directory so a fault schedule keys on stable relative paths.
+	if cfg.faultProfile != "" && cfg.walDir == "" {
+		return errors.New("-disk-fault-profile requires -wal-dir")
 	}
-
-	// One filesystem for every durable path, rooted at whichever durable
-	// directory is in use (the mutual exclusion above guarantees at most
-	// one), so a fault schedule keys on stable relative paths.
-	durableRoot := cfg.walDir
-	if durableRoot == "" && cfg.snapshotPath != "" {
-		durableRoot = filepath.Dir(cfg.snapshotPath)
-	}
-	if cfg.faultProfile != "" && durableRoot == "" {
-		return errors.New("-disk-fault-profile requires -wal-dir or -snapshot")
-	}
-	storeFS, err := cfg.storageFS(durableRoot)
+	storeFS, err := cfg.storageFS(cfg.walDir)
 	if err != nil {
 		return err
 	}
@@ -191,27 +174,6 @@ func serve(cfg serveConfig) error {
 	warehouse.MaxConns = cfg.maxConns
 	if cfg.ingestBurst > 0 {
 		warehouse.SetIngestLimit(cfg.ingestRate, cfg.ingestBurst)
-	}
-	if cfg.snapshotPath != "" {
-		// A crash during a previous shutdown snapshot may have stranded
-		// temp files next to the target; sweep them before writing more.
-		cleanupStaleSnapshots(storeFS, cfg.snapshotPath)
-		f, err := storeFS.OpenFile(cfg.snapshotPath, os.O_RDONLY, 0)
-		switch {
-		case err == nil:
-			n, err := warehouse.Restore(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("restore snapshot: %w", err)
-			}
-			fmt.Printf("restored %d samples from %s\n", n, cfg.snapshotPath)
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot: nothing to restore yet.
-		default:
-			// A present-but-unreadable snapshot (permissions, I/O) must
-			// abort startup, not silently run on an empty warehouse.
-			return fmt.Errorf("open snapshot: %w", err)
-		}
 	}
 
 	detail := map[string]any{"phase": "serving"}
@@ -296,83 +258,6 @@ func serve(cfg serveConfig) error {
 			return fmt.Errorf("wal shutdown checkpoint: %w", err)
 		}
 		fmt.Printf("wal checkpointed in %s\n", cfg.walDir)
-	}
-	if cfg.snapshotPath != "" {
-		if err := writeSnapshot(storeFS, warehouse, cfg.snapshotPath); err != nil {
-			return err
-		}
-		fmt.Printf("snapshot written to %s\n", cfg.snapshotPath)
-	}
-	return nil
-}
-
-// cleanupStaleSnapshots removes temp files a crashed shutdown snapshot
-// left behind in the snapshot's directory, logging each one — silent
-// accumulation is how disks fill up.
-func cleanupStaleSnapshots(fsys vmwild.FS, path string) {
-	dir := filepath.Dir(path)
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vmwildd: stale snapshot sweep of %s: %v\n", dir, err)
-		return
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), ".snapshot-") {
-			continue
-		}
-		f := filepath.Join(dir, e.Name())
-		if err := fsys.Remove(f); err != nil {
-			fmt.Fprintf(os.Stderr, "vmwildd: stale snapshot %s: %v\n", f, err)
-			continue
-		}
-		fmt.Printf("removed stale snapshot temp file %s\n", f)
-	}
-}
-
-// writeSnapshot persists the warehouse atomically: the snapshot streams
-// into a temp file in the target directory and replaces the old file only
-// by rename, so a crash mid-write can never truncate the previous good
-// snapshot. Every step's error is checked — the rename commits only
-// durable bytes (fsync before rename, directory sync after).
-func writeSnapshot(fsys vmwild.FS, warehouse *vmwild.Warehouse, path string) error {
-	tmpName := filepath.Join(filepath.Dir(path), ".snapshot-"+filepath.Base(path)+".tmp")
-	tmp, err := fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("write snapshot: %w", err)
-	}
-	// On any failure, remove the temp file and say so: a silently stranded
-	// temp both leaks disk and hides that the snapshot is missing.
-	closed := false
-	fail := func(stage string, err error) error {
-		if !closed {
-			tmp.Close()
-		}
-		if rmErr := fsys.Remove(tmpName); rmErr != nil {
-			fmt.Fprintf(os.Stderr, "vmwildd: snapshot %s failed and temp file %s could not be removed: %v\n",
-				stage, tmpName, rmErr)
-		} else {
-			fmt.Fprintf(os.Stderr, "vmwildd: snapshot %s failed, temp file removed\n", stage)
-		}
-		return fmt.Errorf("write snapshot: %s: %w", stage, err)
-	}
-	if err := warehouse.Snapshot(tmp); err != nil {
-		return fail("stream", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail("sync", err)
-	}
-	if err := tmp.Close(); err != nil {
-		closed = true
-		return fail("close", err)
-	}
-	closed = true
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return fail("rename", err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		// The rename itself is atomic; a failed directory sync weakens
-		// crash ordering but does not invalidate the snapshot.
-		fmt.Fprintf(os.Stderr, "vmwildd: snapshot directory sync: %v\n", err)
 	}
 	return nil
 }

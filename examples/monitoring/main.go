@@ -42,32 +42,32 @@ func run() error {
 	defer cancel()
 
 	// Each server's agent collects one sample per simulated minute and
-	// ships them over the socket (batched here; the streaming Agent in
-	// the library does the same continuously).
+	// ships them over the socket as acked envelopes (a day at once here;
+	// the streaming Agent in the library drives the same sender
+	// continuously).
 	const hoursToCollect = 24
 	specs := make(map[vmwild.ServerID]vmwild.Spec)
-	var ids []vmwild.ServerID
 	for i, st := range fleet.Servers {
 		specs[st.ID] = st.Spec
-		ids = append(ids, st.ID)
 		src, err := vmwild.NewTraceSource(st, epoch, int64(i))
 		if err != nil {
 			return err
 		}
-		batch := make([]vmwild.MonitorSample, 0, hoursToCollect*60)
+		sender := &vmwild.ReliableSender{Addr: addr, AgentID: string(st.ID)}
 		for m := 0; m < hoursToCollect*60; m++ {
 			s, err := src.Collect(epoch.Add(time.Duration(m) * time.Minute))
 			if err != nil {
 				return err
 			}
-			batch = append(batch, s)
+			sender.Queue(s)
 		}
-		if err := vmwild.SendMonitorBatch(ctx, addr, batch); err != nil {
+		// A nil Flush means every envelope was acked, and the warehouse
+		// acks only what it has stored.
+		err = sender.Flush(ctx, 3)
+		sender.Close()
+		if err != nil {
 			return err
 		}
-	}
-	if err := warehouse.WaitForSamples(ctx, ids, hoursToCollect*60); err != nil {
-		return err
 	}
 	stat := warehouse.Stats()
 	fmt.Printf("warehouse ingested %d samples from %d servers (%d dropped)\n\n",

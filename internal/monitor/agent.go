@@ -1,165 +1,59 @@
 package monitor
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
-	"net"
-	"sync/atomic"
 	"time"
 )
 
 // Agent is the per-server collector: it polls its Source on the collection
-// interval and streams samples to the warehouse as batch frames,
-// reconnecting with backoff when the connection drops. Samples collected
-// while the warehouse is unreachable accumulate (up to MaxPending) and
-// ship on the next successful flush, so a warehouse restart costs
-// latency, not data.
+// interval and hands each sample to the ReliableSender it holds, which
+// ships acked envelopes to the warehouse. Samples collected while the
+// warehouse is unreachable stay queued in the sender (up to its
+// MaxPending; beyond it the oldest are dropped and counted) and ship on
+// the next successful flush, so a warehouse restart costs latency, not
+// data.
 type Agent struct {
 	// Source supplies the samples.
 	Source Source
-	// Addr is the warehouse TCP address.
-	Addr string
+	// Sender ships them: its Addr, AgentID, MaxPending and backoff
+	// settings govern delivery, and its Counters are the agent's
+	// accounting. A ReliableSender is not safe for concurrent use, so
+	// read Sender.Counters only after Run returns.
+	Sender ReliableSender
 	// Interval is the collection period (the paper's agents collect
 	// every minute).
 	Interval time.Duration
 	// Now abstracts the clock so replayed traces can run on compressed
 	// time; nil uses time.Now.
 	Now func() time.Time
-	// Backoff is the base reconnect delay (default 100ms). Consecutive
-	// dial failures grow it exponentially up to BackoffMax, each sleep
-	// jittered over [b/2, b) so a restarted warehouse is not hit by the
-	// whole fleet on one synchronized schedule.
-	Backoff time.Duration
-	// BackoffMax caps the grown reconnect delay (default 5s).
-	BackoffMax time.Duration
-	// Seed roots the backoff jitter (keyed with Source+Addr so agents
-	// sharing a seed still spread out); zero is a valid seed.
-	Seed int64
-	// MaxPending bounds the samples buffered while the warehouse is
-	// unreachable (default 4096); beyond it the oldest are dropped —
-	// and counted in Dropped, never silently.
-	MaxPending int
-
-	dropped atomic.Int64
 }
 
-// Dropped reports how many collected samples the agent shed because its
-// send queue overflowed MaxPending while the warehouse was unreachable.
-func (a *Agent) Dropped() int64 { return a.dropped.Load() }
+// agentFlushAttempts bounds the envelope round trips one collection tick
+// spends; whatever is still unacked waits, queued, for the next tick.
+const agentFlushAttempts = 2
 
-// Run collects and ships samples until the context is canceled. It returns
-// nil on cancellation and an error only for unrecoverable configuration
-// problems.
+// Run collects and ships samples until the context is canceled or the
+// Source runs dry. It returns nil then, and an error only for
+// unrecoverable configuration problems.
 func (a *Agent) Run(ctx context.Context) error {
-	if a.Source == nil {
+	switch {
+	case a.Source == nil:
 		return errors.New("monitor: agent has no source")
-	}
-	if a.Addr == "" {
+	case a.Sender.Addr == "":
 		return errors.New("monitor: agent has no warehouse address")
-	}
-	if a.Interval <= 0 {
+	case a.Sender.AgentID == "":
+		return errors.New("monitor: agent has no AgentID")
+	case a.Interval <= 0:
 		return errors.New("monitor: agent interval must be positive")
 	}
 	now := a.Now
 	if now == nil {
 		now = time.Now
 	}
-	baseBackoff := a.Backoff
-	if baseBackoff <= 0 {
-		baseBackoff = 100 * time.Millisecond
-	}
-	maxBackoff := a.BackoffMax
-	if maxBackoff < baseBackoff {
-		maxBackoff = max(5*time.Second, baseBackoff)
-	}
-	backoff := baseBackoff
-	// The jitter stream is identity-addressed by (Seed, Addr); give each
-	// agent in a fleet its own Seed (stats.Derive over an agent index) to
-	// fully desynchronize the herd.
-	rng := backoffRand(a.Seed, "agent-reconnect", a.Addr)
-	maxPending := a.MaxPending
-	if maxPending <= 0 {
-		maxPending = 4096
-	}
-
+	defer a.Sender.Close()
 	ticker := time.NewTicker(a.Interval)
 	defer ticker.Stop()
-
-	var (
-		conn    net.Conn
-		bw      *bufio.Writer
-		pending []Sample
-		frame   []byte
-	)
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	flush := func() {
-		for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-			if conn == nil {
-				c, err := (&net.Dialer{}).DialContext(ctx, "tcp", a.Addr)
-				if err != nil {
-					select {
-					case <-ctx.Done():
-					case <-time.After(jitterBackoff(rng, backoff)):
-						backoff = min(backoff*2, maxBackoff)
-					}
-					continue
-				}
-				conn = c
-				bw = bufio.NewWriter(conn)
-				backoff = baseBackoff
-			}
-			var err error
-			for len(pending) > 0 && err == nil {
-				chunk := pending[:min(batchChunk, len(pending))]
-				frame, err = appendBatchFrame(frame[:0], chunk, fc)
-				if err != nil {
-					// One unencodable sample poisons its frame; rebuild
-					// the frame skipping only the samples not even the
-					// fallback encoder can represent.
-					frame = append(frame[:0], '[')
-					kept := 0
-					for i := range chunk {
-						pos := len(frame)
-						if kept > 0 {
-							frame = append(frame, ',')
-						}
-						var encErr error
-						if frame, encErr = appendSampleWire(frame, &chunk[i], fc); encErr != nil {
-							frame = frame[:pos]
-							continue
-						}
-						kept++
-					}
-					frame = append(frame, ']', '\n')
-					err = nil
-					if kept == 0 {
-						pending = pending[len(chunk):]
-						continue
-					}
-				}
-				conn.SetWriteDeadline(time.Now().Add(batchWriteTimeout))
-				if _, err = bw.Write(frame); err == nil {
-					if err = bw.Flush(); err == nil {
-						pending = pending[len(chunk):]
-					}
-				}
-			}
-			if err != nil {
-				conn.Close()
-				conn, bw = nil, nil
-				continue
-			}
-			return
-		}
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -169,63 +63,13 @@ func (a *Agent) Run(ctx context.Context) error {
 		sample, err := a.Source.Collect(now())
 		if err != nil {
 			// Sources run dry when their trace ends; ship what is
-			// buffered and stop cleanly.
-			flush()
+			// queued and stop cleanly. Anything still unacked stays
+			// counted as Pending.
+			_ = a.Sender.Flush(ctx, agentFlushAttempts)
 			return nil
 		}
-		if len(pending) >= maxPending {
-			copy(pending, pending[1:])
-			pending = pending[:len(pending)-1]
-			a.dropped.Add(1)
-		}
-		pending = append(pending, sample)
-		flush()
-		if len(pending) == 0 && cap(pending) > 4*batchChunk {
-			pending = nil // shed a backlog-sized buffer once drained
-		}
+		a.Sender.Queue(sample)
+		// A failed flush keeps the backlog queued for the next tick.
+		_ = a.Sender.Flush(ctx, agentFlushAttempts)
 	}
-}
-
-// SendBatch dials the warehouse once and ships the given samples as
-// chunked batch frames with one flush per chunk — the bulk path used to
-// backfill history or run deterministic tests without timers. It honors
-// ctx between chunks and bounds each flush with a write deadline, so a
-// stalled warehouse fails the call instead of hanging it.
-func SendBatch(ctx context.Context, addr string, samples []Sample) error {
-	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("monitor: dial warehouse: %w", err)
-	}
-	defer conn.Close()
-	// A cancellation mid-write would otherwise wait out the full write
-	// deadline; poking an immediate deadline fails the blocked write now.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	w := bufio.NewWriter(conn)
-	frame := make([]byte, 0, 64*batchChunk)
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	for len(samples) > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("monitor: send batch: %w", err)
-		}
-		chunk := samples[:min(batchChunk, len(samples))]
-		samples = samples[len(chunk):]
-		frame, err = appendBatchFrame(frame[:0], chunk, fc)
-		if err != nil {
-			return fmt.Errorf("monitor: send sample: %w", err)
-		}
-		deadline := time.Now().Add(batchWriteTimeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		conn.SetWriteDeadline(deadline)
-		if _, err := w.Write(frame); err != nil {
-			return fmt.Errorf("monitor: send sample: %w", err)
-		}
-		if err := w.Flush(); err != nil {
-			return fmt.Errorf("monitor: flush: %w", err)
-		}
-	}
-	return nil
 }

@@ -43,21 +43,25 @@ func benchSamples(server string, n int) []Sample {
 }
 
 // runLoadGen streams perAgent samples from each of `agents` concurrent
-// senders into a fresh warehouse over TCP and returns the wall time from
-// first byte to last sample visible. It is shared by the throughput
-// benchmark and the CI soak test.
+// ReliableSenders — one per agent, acked envelopes of batchChunk samples —
+// into a fresh warehouse over TCP and returns the wall time from first
+// byte to last sample visible. It is shared by the throughput benchmark
+// and the CI soak test.
 func runLoadGen(tb testing.TB, w *Warehouse, agents, perAgent int) time.Duration {
 	tb.Helper()
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	batches := make([][]Sample, agents)
+	senders := make([]*ReliableSender, agents)
 	ids := make([]trace.ServerID, agents)
 	for a := 0; a < agents; a++ {
 		id := fmt.Sprintf("load-%03d", a)
 		ids[a] = trace.ServerID(id)
-		batches[a] = benchSamples(id, perAgent)
+		senders[a] = &ReliableSender{Addr: addr, AgentID: id, MaxPending: perAgent}
+		for _, s := range benchSamples(id, perAgent) {
+			senders[a].Queue(s)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -69,7 +73,8 @@ func runLoadGen(tb testing.TB, w *Warehouse, agents, perAgent int) time.Duration
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			if err := SendBatch(ctx, addr, batches[a]); err != nil {
+			defer senders[a].Close()
+			if err := senders[a].Flush(ctx, 3); err != nil {
 				errs <- err
 			}
 		}(a)

@@ -8,11 +8,11 @@ import (
 	"strconv"
 )
 
-// The acked envelope protocol: the reliable ingest framing used when the
-// network itself cannot be trusted. A fire-and-forget batch frame cannot
-// reconcile "sent" against "ingested" under mid-stream resets — the sender
-// never learns whether the bytes landed — so the envelope adds three
-// things on top of the batch frame:
+// The acked envelope protocol: the one ingest frame the warehouse
+// accepts. It is the only one because a frame without an ack cannot
+// reconcile "sent" against "ingested" under mid-stream resets — the
+// sender never learns whether the bytes landed. Each envelope carries one
+// chunk of samples and adds three things around it:
 //
 //	{"batch":SEQ,"agent":"ID","crc":C,"samples":[...]}\n
 //
@@ -24,16 +24,14 @@ import (
 //	   limiter shed, CRC'd itself so a corrupted ack is a retryable
 //	   transport error, never a silent accounting skew.
 //
-// The warehouse remembers each agent's last (seq, ok, shed): a duplicate
-// seq re-acks the original counts without re-ingesting, so a retry after a
-// lost ack is exactly-once. Sent therefore reconciles exactly:
+// The warehouse remembers each agent's last (seq, crc, ok, shed): a retry
+// of the same bytes under the same seq re-acks the original counts
+// without re-ingesting, so a retry after a lost ack is exactly-once, while
+// a restarted sender reusing a seq for different samples is ingested
+// fresh. Sent therefore reconciles exactly:
 // queued = acked + serverShed + droppedQueue + still-pending.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// envelopePrefix dispatches envelope lines in serveConn. Legacy sample
-// objects start {"server": and batch frames start [ — no collision.
-var envelopePrefix = []byte(`{"batch":`)
 
 // envelopeCRC covers agent, seq, and the raw samples array bytes, with a
 // separator so field boundaries cannot alias.
@@ -66,25 +64,33 @@ type envelopeWire struct {
 	Samples json.RawMessage `json:"samples"`
 }
 
-// decodeEnvelope parses and CRC-checks one envelope line. The returned
-// samples slice aliases line. Any failure — malformed JSON, missing
-// fields, CRC mismatch — is a protocol error; the caller must close the
-// connection so the sender retries the whole frame.
-func decodeEnvelope(line []byte) (agent string, seq uint64, samples []byte, err error) {
-	var e envelopeWire
-	if err := json.Unmarshal(line, &e); err != nil {
-		return "", 0, nil, fmt.Errorf("monitor: malformed envelope: %w", err)
-	}
-	if e.Batch == nil || e.Agent == "" || len(e.Samples) == 0 {
-		return "", 0, nil, errors.New("monitor: envelope missing batch, agent or samples")
-	}
-	if got := envelopeCRC(e.Agent, *e.Batch, e.Samples); got != e.CRC {
-		return "", 0, nil, fmt.Errorf("monitor: envelope crc mismatch: frame says %d, bytes say %d", e.CRC, got)
-	}
-	return e.Agent, *e.Batch, e.Samples, nil
+// envelope is one decoded, CRC-checked envelope.
+type envelope struct {
+	agent   string
+	seq     uint64
+	crc     uint32
+	samples []byte // the raw JSON array; aliases the decoded line
 }
 
-// ackResult is what the warehouse remembers (and re-acks) per agent.
+// decodeEnvelope parses and CRC-checks one envelope line. Any failure —
+// malformed JSON, a line that is not an envelope at all, missing fields,
+// CRC mismatch — is a protocol error; the caller must close the
+// connection so the sender retries the whole frame.
+func decodeEnvelope(line []byte) (envelope, error) {
+	var e envelopeWire
+	if err := json.Unmarshal(line, &e); err != nil {
+		return envelope{}, fmt.Errorf("monitor: malformed envelope: %w", err)
+	}
+	if e.Batch == nil || e.Agent == "" || len(e.Samples) == 0 {
+		return envelope{}, errors.New("monitor: envelope missing batch, agent or samples")
+	}
+	if got := envelopeCRC(e.Agent, *e.Batch, e.Samples); got != e.CRC {
+		return envelope{}, fmt.Errorf("monitor: envelope crc mismatch: frame says %d, bytes say %d", e.CRC, got)
+	}
+	return envelope{agent: e.Agent, seq: *e.Batch, crc: e.CRC, samples: e.Samples}, nil
+}
+
+// ackResult is one acknowledgment's content.
 type ackResult struct {
 	seq  uint64
 	ok   int

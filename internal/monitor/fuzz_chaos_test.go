@@ -8,10 +8,12 @@ import (
 )
 
 // FuzzChaosProxy feeds the byte shapes the chaos proxy produces —
-// corrupted, truncated, bit-flipped envelope and batch frames — straight
-// into both servers' connection handlers and requires that neither ever
-// panics or wedges. Shedding, closing, or error-answering are all fine;
-// hanging a handler goroutine or crashing is not.
+// corrupted, truncated, bit-flipped envelopes — straight into both
+// servers' connection handlers and requires that neither ever panics or
+// wedges. Shedding, closing, or error-answering are all fine; hanging a
+// handler goroutine or crashing is not. Bare batch frames (a JSON array
+// on its own line) stay in the corpus: the warehouse now rejects them
+// like any other non-envelope line.
 func FuzzChaosProxy(f *testing.F) {
 	valid := appendEnvelope(nil, "agent-1", 1, []byte(`[{"server":"a","ts":"2012-06-04T00:00:00Z"}]`))
 	f.Add(valid)

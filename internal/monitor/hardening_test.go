@@ -1,19 +1,18 @@
 package monitor
 
 import (
-	"encoding/json"
+	"bufio"
 	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
-
-	"vmwild/internal/trace"
 )
 
 // The hardening contract shared by the warehouse and query server: read
 // deadlines sever silent peers, oversized lines end the connection, and
-// malformed-but-bounded lines leave the connection usable.
+// malformed content inside a well-formed frame leaves the connection
+// usable.
 
 func dialT(t *testing.T, addr string) net.Conn {
 	t.Helper()
@@ -71,6 +70,11 @@ func TestWarehouseOversizedLineClosesConn(t *testing.T) {
 	expectClosed(t, conn, "oversized line")
 }
 
+// TestWarehouseMalformedLineKeepsConnUsable: invalid samples inside a
+// valid envelope are acked (a retry could never fix them) and counted as
+// dropped, and the connection keeps serving envelopes. Only a line that is
+// not an envelope at all costs the connection (see
+// TestWarehouseRejectsGarbageOverTCP).
 func TestWarehouseMalformedLineKeepsConnUsable(t *testing.T) {
 	w := NewWarehouse(0)
 	addr, err := w.Listen("127.0.0.1:0")
@@ -80,25 +84,25 @@ func TestWarehouseMalformedLineKeepsConnUsable(t *testing.T) {
 	defer w.Close()
 
 	conn := dialT(t, addr)
+	br := bufio.NewReader(conn)
 	good := Sample{Server: "s", Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1}
-	payload, err := json.Marshal(good)
-	if err != nil {
-		t.Fatal(err)
+	invalid := []Sample{{Server: "", Timestamp: epoch}, {Server: "s", Timestamp: epoch, TotalProcessorPct: 101}}
+	batch := append([]Sample{good}, invalid...)
+	if ack := sendEnvelope(t, conn, br, "agent-1", 1, batch); ack != (ackResult{seq: 1, ok: 3}) {
+		t.Fatalf("ack = %+v, want all 3 acked", ack)
 	}
-	// Garbage between two valid samples on the SAME connection: both
-	// samples land, the garbage counts as dropped.
-	lines := append(append(append([]byte(nil), payload...), []byte("\n{not json}\n")...), payload...)
-	lines = append(lines, '\n')
-	if _, err := conn.Write(lines); err != nil {
-		t.Fatal(err)
+	if got, dropped := w.SampleCount("s"), w.Dropped(); got != 1 || dropped != 2 {
+		t.Fatalf("samples=%d dropped=%d; want 1 stored and 2 dropped", got, dropped)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.SampleCount(trace.ServerID("s")) < 1 || w.Dropped() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("samples=%d dropped=%d; want >=1 sample and >=1 dropped",
-				w.SampleCount(trace.ServerID("s")), w.Dropped())
-		}
-		time.Sleep(time.Millisecond)
+	good.Timestamp = good.Timestamp.Add(time.Minute)
+	if ack := sendEnvelope(t, conn, br, "agent-1", 2, []Sample{good}); ack != (ackResult{seq: 2, ok: 1}) {
+		t.Fatalf("second ack on the same connection = %+v", ack)
+	}
+	if got := w.SampleCount("s"); got != 2 {
+		t.Fatalf("samples = %d, want 2", got)
+	}
+	if m := w.Metrics(); m.CorruptFrames != 0 {
+		t.Fatalf("CorruptFrames = %d, want 0", m.CorruptFrames)
 	}
 }
 

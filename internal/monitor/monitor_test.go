@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -182,15 +184,17 @@ func TestEndToEndOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := make([]Sample, 0, minutes)
+		sender := &ReliableSender{Addr: addr, AgentID: id}
 		for m := 0; m < minutes; m++ {
 			s, err := src.Collect(epoch.Add(time.Duration(m) * time.Minute))
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch = append(batch, s)
+			sender.Queue(s)
 		}
-		if err := SendBatch(ctx, addr, batch); err != nil {
+		err = sender.Flush(ctx, 3)
+		sender.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +246,7 @@ func TestAgentStreamsOverTCP(t *testing.T) {
 	var tick int
 	agent := &Agent{
 		Source:   src,
-		Addr:     addr,
+		Sender:   ReliableSender{Addr: addr, AgentID: "agent-1"},
 		Interval: 2 * time.Millisecond,
 		Now: func() time.Time {
 			tick++
@@ -275,7 +279,12 @@ func TestAgentConfigErrors(t *testing.T) {
 	if err := (&Agent{Source: src}).Run(ctx); err == nil {
 		t.Error("expected error for missing address")
 	}
-	if err := (&Agent{Source: src, Addr: "127.0.0.1:1"}).Run(ctx); err == nil {
+	sender := ReliableSender{Addr: "127.0.0.1:1"}
+	if err := (&Agent{Source: src, Sender: sender, Interval: time.Millisecond}).Run(ctx); err == nil {
+		t.Error("expected error for missing AgentID")
+	}
+	sender.AgentID = "x"
+	if err := (&Agent{Source: src, Sender: sender}).Run(ctx); err == nil {
 		t.Error("expected error for non-positive interval")
 	}
 }
@@ -297,9 +306,8 @@ func TestAgentReconnectsAfterWarehouseRestart(t *testing.T) {
 	var tick int
 	agent := &Agent{
 		Source:   src,
-		Addr:     addr,
+		Sender:   ReliableSender{Addr: addr, AgentID: "phoenix", Backoff: 5 * time.Millisecond},
 		Interval: 2 * time.Millisecond,
-		Backoff:  5 * time.Millisecond,
 		Now: func() time.Time {
 			tick++
 			return epoch.Add(time.Duration(tick) * time.Minute)
@@ -341,6 +349,10 @@ func TestAgentReconnectsAfterWarehouseRestart(t *testing.T) {
 	}
 }
 
+// TestWarehouseRejectsGarbageOverTCP: the acked envelope is the only
+// frame. An envelope ahead of a non-envelope line is acked and stored; the
+// bad line counts in corruptFrames and costs its connection; and the old
+// bare-object and bare-array frames are garbage like any other.
 func TestWarehouseRejectsGarbageOverTCP(t *testing.T) {
 	w := NewWarehouse(0)
 	addr, err := w.Listen("127.0.0.1:0")
@@ -349,30 +361,45 @@ func TestWarehouseRejectsGarbageOverTCP(t *testing.T) {
 	}
 	defer w.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// A valid sample, then garbage, then a valid sample on a fresh
-	// connection: the warehouse must keep the valid data and survive.
-	if err := SendBatch(ctx, addr, []Sample{
-		{Server: "ok", Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	first := Sample{Server: "ok", Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1}
+	conn := dialT(t, addr)
+	if ack := sendEnvelope(t, conn, bufio.NewReader(conn), "agent-1", 1, []Sample{first}); ack != (ackResult{seq: 1, ok: 1}) {
+		t.Fatalf("envelope ack = %+v", ack)
 	}
 	if _, err := conn.Write([]byte("{malformed\n")); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
-	if err := SendBatch(ctx, addr, []Sample{
-		{Server: "ok", Timestamp: epoch.Add(time.Minute), TotalProcessorPct: 20, MemCommittedMB: 1},
-	}); err != nil {
+	expectClosed(t, conn, "garbage after an envelope")
+
+	object, err := json.Marshal(Sample{Server: "bare", Timestamp: epoch, TotalProcessorPct: 20, MemCommittedMB: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WaitForSamples(ctx, []trace.ServerID{"ok"}, 2); err != nil {
-		t.Fatalf("warehouse lost valid samples around garbage: %v", err)
+	for _, line := range [][]byte{object, append(append([]byte{'['}, object...), ']'), {}} {
+		conn := dialT(t, addr)
+		if _, err := conn.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		expectClosed(t, conn, fmt.Sprintf("non-envelope line %q", line))
+	}
+	if m := w.Metrics(); m.CorruptFrames != 4 {
+		t.Fatalf("CorruptFrames = %d, want 4", m.CorruptFrames)
+	}
+	if got := w.Stats().Samples; got != 1 {
+		t.Fatalf("samples = %d, want only the enveloped one", got)
+	}
+
+	// The warehouse keeps serving envelopes on fresh connections.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sender := &ReliableSender{Addr: addr, AgentID: "agent-2"}
+	defer sender.Close()
+	sender.Queue(Sample{Server: "ok", Timestamp: epoch.Add(time.Minute), TotalProcessorPct: 20, MemCommittedMB: 1})
+	if err := sender.Flush(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SampleCount("ok"); got != 2 {
+		t.Fatalf("warehouse lost valid samples around garbage: %d, want 2", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -79,10 +80,20 @@ func TestIngestLimiterShedsExactly(t *testing.T) {
 	for i := range samples {
 		samples[i] = validSample(fmt.Sprintf("srv-%02d", i), i)
 	}
-	if err := SendBatch(context.Background(), addr, samples); err != nil {
+	sender := &ReliableSender{Addr: addr, AgentID: "limited"}
+	defer sender.Close()
+	for _, s := range samples {
+		sender.Queue(s)
+	}
+	if err := sender.Flush(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, "5 admitted samples", func() bool { return w.Stats().Samples == 5 })
+	if c := sender.Counters(); c.Acked != 5 || c.ServerShed != 5 {
+		t.Fatalf("sender counters %+v, want 5 acked and 5 shed", c)
+	}
+	if got := w.Stats().Samples; got != 5 {
+		t.Fatalf("samples = %d, want 5 admitted", got)
+	}
 
 	m := w.Metrics()
 	if m.ShedIngest != 5 {
@@ -108,26 +119,23 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	samples := []byte(`[{"server":"a","ts":"2012-06-04T00:00:00Z"}]`)
 	line := appendEnvelope(nil, "agent-1", 42, samples)
 	line = bytes.TrimSuffix(line, []byte{'\n'})
-	if !bytes.HasPrefix(line, envelopePrefix) {
-		t.Fatalf("envelope does not carry the dispatch prefix: %s", line)
-	}
-	agent, seq, got, err := decodeEnvelope(line)
+	env, err := decodeEnvelope(line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agent != "agent-1" || seq != 42 || !bytes.Equal(got, samples) {
-		t.Fatalf("round trip mangled the envelope: %q %d %s", agent, seq, got)
+	if env.agent != "agent-1" || env.seq != 42 || env.crc != envelopeCRC("agent-1", 42, samples) || !bytes.Equal(env.samples, samples) {
+		t.Fatalf("round trip mangled the envelope: %+v", env)
 	}
 
 	// Any flipped byte in the samples region must fail the CRC.
 	for i := range line {
 		mutated := append([]byte(nil), line...)
 		mutated[i] ^= 0x20
-		if _, _, _, err := decodeEnvelope(mutated); err == nil {
+		if got, err := decodeEnvelope(mutated); err == nil {
 			// A flip can land in whitespace-insensitive JSON territory
 			// only if it still decodes AND re-CRCs — which the CRC over
 			// raw sample bytes rules out for the samples region.
-			if a, s, b, _ := decodeEnvelope(mutated); a == agent && s == seq && bytes.Equal(b, samples) {
+			if got.agent == env.agent && got.seq == env.seq && bytes.Equal(got.samples, samples) {
 				continue // flip landed outside every covered field and changed nothing material
 			}
 			t.Fatalf("flip at byte %d went undetected: %s", i, mutated)
@@ -167,11 +175,11 @@ func sendEnvelope(t *testing.T, conn net.Conn, br *bufio.Reader, agent string, s
 	t.Helper()
 	fc := floatCachePool.Get().(*floatCache)
 	defer floatCachePool.Put(fc)
-	array, err := appendBatchFrame(nil, samples, fc)
+	array, err := appendSampleArray(nil, samples, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := appendEnvelope(nil, agent, seq, bytes.TrimSuffix(array, []byte{'\n'}))
+	env := appendEnvelope(nil, agent, seq, array)
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Write(env); err != nil {
 		t.Fatal(err)
@@ -224,6 +232,38 @@ func TestEnvelopeAckAndDedup(t *testing.T) {
 	}
 	if got := w.Stats().Samples; got != 4 {
 		t.Fatalf("samples = %d, want 4", got)
+	}
+}
+
+// TestEnvelopeRestartedSenderIsIngested: a restarted sender starts again
+// at seq 1 under the same AgentID. Its first envelope carries different
+// samples than the one the warehouse remembers under that seq, so it is
+// new data, not a retry — it must be stored, not just acked.
+func TestEnvelopeRestartedSenderIsIngested(t *testing.T) {
+	w := NewWarehouse(0)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	for minute := 0; minute < 2; minute++ {
+		s := &ReliableSender{Addr: addr, AgentID: "agent-a"}
+		s.Queue(validSample("a", minute))
+		err := s.Flush(context.Background(), 3)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := s.Counters(); c.Acked != 1 {
+			t.Fatalf("sender %d: %+v, want 1 acked", minute, c)
+		}
+	}
+	if got := w.SampleCount("a"); got != 2 {
+		t.Fatalf("SampleCount = %d, want 2: the restarted sender's envelope was acked but not stored", got)
+	}
+	if m := w.Metrics(); m.AckedSamples != 2 {
+		t.Fatalf("AckedSamples = %d, want 2", m.AckedSamples)
 	}
 }
 
@@ -283,6 +323,35 @@ func TestReliableSenderReconciles(t *testing.T) {
 	}
 }
 
+// TestReliableSenderDropsUnencodable: a sample no encoder can represent
+// could never be acked, so the sender drops it, counted, instead of
+// wedging its queue behind it.
+func TestReliableSenderDropsUnencodable(t *testing.T) {
+	w := NewWarehouse(0)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	s := &ReliableSender{Addr: addr, AgentID: "nan"}
+	defer s.Close()
+	bad := validSample("a", 1)
+	bad.PagesPerSec = math.NaN()
+	for _, sample := range []Sample{validSample("a", 0), bad, validSample("a", 2)} {
+		s.Queue(sample)
+	}
+	if err := s.Flush(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counters(); c.Queued != 3 || c.Acked != 2 || c.DroppedQueue != 1 || c.Pending != 0 {
+		t.Fatalf("counters %+v, want 2 acked and the NaN sample dropped", c)
+	}
+	if got := w.SampleCount("a"); got != 2 {
+		t.Fatalf("SampleCount = %d, want 2", got)
+	}
+}
+
 func TestWarehouseMaxConnsKeepsListenerLive(t *testing.T) {
 	w := NewWarehouse(0)
 	w.MaxConns = 2
@@ -292,16 +361,16 @@ func TestWarehouseMaxConnsKeepsListenerLive(t *testing.T) {
 	}
 	defer w.Close()
 
+	// Write an envelope without waiting for its ack: a gated connection
+	// is never read, so the ack would never come.
 	writeSample := func(conn net.Conn, server string) {
 		t.Helper()
-		fc := floatCachePool.Get().(*floatCache)
-		defer floatCachePool.Put(fc)
-		line, err := appendBatchFrame(nil, []Sample{validSample(server, 0)}, fc)
+		array, err := appendSampleArray(nil, []Sample{validSample(server, 0)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write(line); err != nil {
+		if _, err := conn.Write(appendEnvelope(nil, server, 1, array)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,7 +550,9 @@ func (f funcSource) Collect(t time.Time) (Sample, error) { return f(t) }
 
 func TestAgentDropAccounting(t *testing.T) {
 	// An unreachable warehouse: dials fail fast, the queue caps at
-	// MaxPending, and every displaced sample must be counted.
+	// MaxPending, and every displaced sample must be counted. The frozen
+	// inflight chunk is not counted against MaxPending, so the ledger —
+	// not a fixed drop count — is the contract.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -498,18 +569,28 @@ func TestAgentDropAccounting(t *testing.T) {
 			}
 			return validSample("a", n), nil
 		}),
-		Addr:       addr,
-		Interval:   time.Millisecond,
-		Backoff:    time.Millisecond,
-		BackoffMax: 2 * time.Millisecond,
-		MaxPending: 4,
-		Seed:       7,
+		Sender: ReliableSender{
+			Addr:       addr,
+			AgentID:    "a",
+			Backoff:    time.Millisecond,
+			BackoffMax: 2 * time.Millisecond,
+			MaxPending: 4,
+			Seed:       7,
+		},
+		Interval: time.Millisecond,
 	}
 	if err := agent.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := agent.Dropped(); got != 40-4 {
-		t.Fatalf("Dropped() = %d, want %d (40 collected, 4 retained)", got, 40-4)
+	c := agent.Sender.Counters()
+	if c.Queued != 40 || c.Acked != 0 || c.ServerShed != 0 {
+		t.Fatalf("counters %+v, want 40 queued and nothing acked", c)
+	}
+	if c.DroppedQueue == 0 || c.Pending > 4+1 {
+		t.Fatalf("counters %+v: the queue did not cap at MaxPending plus the inflight sample", c)
+	}
+	if got := c.Acked + c.ServerShed + c.DroppedQueue + c.Pending; got != c.Queued {
+		t.Fatalf("ledger does not reconcile: %d != queued %d (%+v)", got, c.Queued, c)
 	}
 }
 

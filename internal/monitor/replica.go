@@ -38,8 +38,6 @@ const (
 	DefaultReplicaChunkSamples = 512
 )
 
-var errReplicasDisabled = errors.New("monitor: replicas not enabled")
-
 // ReplicaConfig tunes the snapshot replica layer.
 type ReplicaConfig struct {
 	// EverySamples republishes a shard once it is at least this many
@@ -723,69 +721,6 @@ func (r *replicaSet) collectSet(name string, specs map[trace.ServerID]trace.Spec
 		return nil, err
 	}
 	return set, nil
-}
-
-// ---- exported replica reads ----------------------------------------------
-
-// ReplicaServers lists the monitored servers as of the latest snapshots.
-func (w *Warehouse) ReplicaServers() ([]trace.ServerID, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return nil, errReplicasDisabled
-	}
-	return slices.Clone(r.serverIDs()), nil
-}
-
-// ReplicaStats returns warehouse totals as of the latest snapshots.
-func (w *Warehouse) ReplicaStats() (Stat, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return Stat{}, errReplicasDisabled
-	}
-	return r.stats(), nil
-}
-
-// ReplicaSampleCount reports a server's retained samples as of its shard's
-// latest snapshot.
-func (w *Warehouse) ReplicaSampleCount(id trace.ServerID) (int, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return 0, errReplicasDisabled
-	}
-	return r.sampleCount(id), nil
-}
-
-// ReplicaHourlySeries is HourlySeries served lock-free from the latest
-// snapshot — bit-identical to the live answer over the snapshot's samples.
-func (w *Warehouse) ReplicaHourlySeries(id trace.ServerID, spec trace.Spec, epoch time.Time) (*trace.Series, error) {
-	return w.ReplicaHourlySeriesWindow(id, spec, epoch, 0)
-}
-
-// ReplicaHourlySeriesWindow is HourlySeriesWindow served from the replica.
-func (w *Warehouse) ReplicaHourlySeriesWindow(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) (*trace.Series, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return nil, errReplicasDisabled
-	}
-	return r.hourlySeries(id, spec, epoch, lastHours)
-}
-
-// ReplicaRange is Range served from the replica with block skipping.
-func (w *Warehouse) ReplicaRange(id trace.ServerID, fromNanos, toNanos int64) ([]RangePoint, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return nil, errReplicasDisabled
-	}
-	return r.rangeRead(id, fromNanos, toNanos)
-}
-
-// ReplicaCollectSet is CollectSet served from the replica.
-func (w *Warehouse) ReplicaCollectSet(name string, specs map[trace.ServerID]trace.Spec, epoch time.Time) (*trace.Set, error) {
-	r := w.replicas.Load()
-	if r == nil {
-		return nil, errReplicasDisabled
-	}
-	return r.collectSet(name, specs, epoch)
 }
 
 // ---- replica metrics ------------------------------------------------------

@@ -106,12 +106,11 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 			}
 			w.PublishReplicas()
 
-			// Top-level views agree.
+			// Top-level views agree. The replica side reads through the
+			// same replicaSet methods the query server serves from.
+			r := w.replicas.Load()
 			liveIDs := w.Servers()
-			repIDs, err := w.ReplicaServers()
-			if err != nil {
-				t.Fatal(err)
-			}
+			repIDs := r.serverIDs()
 			if len(liveIDs) != len(repIDs) {
 				t.Fatalf("servers: live %v, replica %v", liveIDs, repIDs)
 			}
@@ -121,11 +120,7 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				}
 			}
 			liveStat := w.Stats()
-			repStat, err := w.ReplicaStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if liveStat != repStat {
+			if repStat := r.stats(); liveStat != repStat {
 				t.Fatalf("stats: live %+v, replica %+v", liveStat, repStat)
 			}
 
@@ -138,18 +133,14 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 			}
 			for _, id := range liveIDs {
 				liveN := w.SampleCount(id)
-				repN, err := w.ReplicaSampleCount(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if liveN != repN {
+				if repN := r.sampleCount(id); liveN != repN {
 					t.Fatalf("%s: live %d samples, replica %d", id, liveN, repN)
 				}
 				for ei, ep := range epochs {
 					for _, lastHours := range []int{0, 24} {
 						ctx := fmt.Sprintf("%s epoch[%d] last=%d", id, ei, lastHours)
 						live, lerr := w.HourlySeriesWindow(id, spec, ep, lastHours)
-						rep, rerr := w.ReplicaHourlySeriesWindow(id, spec, ep, lastHours)
+						rep, rerr := r.hourlySeries(id, spec, ep, lastHours)
 						if (lerr == nil) != (rerr == nil) {
 							t.Fatalf("%s: live err %v, replica err %v", ctx, lerr, rerr)
 						}
@@ -174,7 +165,7 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				for wi, win := range windows {
 					ctx := fmt.Sprintf("%s window[%d]", id, wi)
 					live, lerr := w.Range(id, win[0], win[1])
-					rep, rerr := w.ReplicaRange(id, win[0], win[1])
+					rep, rerr := r.rangeRead(id, win[0], win[1])
 					if (lerr == nil) != (rerr == nil) {
 						t.Fatalf("%s: live err %v, replica err %v", ctx, lerr, rerr)
 					}
@@ -201,7 +192,7 @@ func TestReplicaStaleness(t *testing.T) {
 	w.PublishReplicas()
 
 	w.Ingest(Sample{Server: "a", Timestamp: epoch.Add(time.Minute), TotalProcessorPct: 20, MemCommittedMB: 200})
-	if n, _ := w.ReplicaSampleCount("a"); n != 1 {
+	if n := w.replicas.Load().sampleCount("a"); n != 1 {
 		t.Fatalf("replica sees %d samples before republish, want 1", n)
 	}
 	if n := w.SampleCount("a"); n != 2 {
@@ -217,7 +208,7 @@ func TestReplicaStaleness(t *testing.T) {
 	if w.PublishReplicas() != 1 {
 		t.Fatal("republish did not publish the stale shard")
 	}
-	if n, _ := w.ReplicaSampleCount("a"); n != 2 {
+	if n := w.replicas.Load().sampleCount("a"); n != 2 {
 		t.Fatalf("replica sees %d samples after republish, want 2", n)
 	}
 	// An idle warehouse republishes nothing.
@@ -270,7 +261,7 @@ func TestReplicaIncrementalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.ReplicaHourlySeries("a", trace.Spec{CPURPE2: 1000}, epoch)
+	rep, err := w.replicas.Load().hourlySeries("a", trace.Spec{CPURPE2: 1000}, epoch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,21 +314,22 @@ func TestReplicaConcurrentSoak(t *testing.T) {
 		go func(rd int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + rd)))
+			r := w.replicas.Load()
 			for !stop.Load() {
 				id := servers[rng.Intn(len(servers))]
 				switch rng.Intn(5) {
 				case 0:
-					if _, err := w.ReplicaServers(); err != nil {
-						t.Error(err)
+					if ids := r.serverIDs(); len(ids) != len(servers) {
+						t.Errorf("replica lists %d servers, want %d", len(ids), len(servers))
 						return
 					}
 				case 1:
-					if _, err := w.ReplicaStats(); err != nil {
-						t.Error(err)
+					if st := r.stats(); st.Servers != len(servers) {
+						t.Errorf("replica stats %+v, want %d servers", st, len(servers))
 						return
 					}
 				case 2:
-					s, err := w.ReplicaHourlySeries(id, spec, epoch)
+					s, err := r.hourlySeries(id, spec, epoch, 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -348,13 +340,13 @@ func TestReplicaConcurrentSoak(t *testing.T) {
 					}
 				case 3:
 					from := epoch.UnixNano() + rng.Int63n(int64(24*time.Hour))
-					if _, err := w.ReplicaRange(id, from, from+int64(time.Hour)); err != nil {
+					if _, err := r.rangeRead(id, from, from+int64(time.Hour)); err != nil {
 						t.Error(err)
 						return
 					}
 				case 4:
-					if _, err := w.ReplicaSampleCount(id); err != nil {
-						t.Error(err)
+					if n := r.sampleCount(id); n == 0 {
+						t.Errorf("replica holds no samples for %s", id)
 						return
 					}
 				}
@@ -377,7 +369,7 @@ func TestReplicaConcurrentSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := w.ReplicaHourlySeries(id, spec, epoch)
+		rep, err := w.replicas.Load().hourlySeries(id, spec, epoch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,10 @@ type ReliableSender struct {
 // Queued == Acked + ServerShed + DroppedQueue + Pending at every quiescent
 // point (no Flush in progress).
 type SenderCounters struct {
-	Queued       int64
+	Queued int64
+	// DroppedQueue counts samples discarded without ever being sent: the
+	// oldest beyond MaxPending, and any sample no encoder can represent
+	// (a non-finite value, a year past 9999).
 	DroppedQueue int64
 	Acked        int64
 	ServerShed   int64
@@ -186,14 +189,16 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 			r.inflightSeq = r.seq
 		}
 
-		array, err := appendBatchFrame(frame[:0], r.inflight, fc)
+		array, err := appendSampleArray(frame[:0], r.inflight, fc)
 		if err != nil {
-			// Unencodable samples cannot ever succeed; surface, do not spin.
-			return fmt.Errorf("monitor: encode envelope %d: %w", r.inflightSeq, err)
+			// No retry could ever encode these samples. Nothing has been
+			// sent under this seq yet, since encoding is deterministic, so
+			// drop just them, counted, and re-encode what is left.
+			r.dropUnencodable(fc)
+			continue
 		}
 		frame = array
-		samples := bytes.TrimSuffix(array, []byte{'\n'})
-		envelope := appendEnvelope(nil, r.AgentID, r.inflightSeq, samples)
+		envelope := appendEnvelope(nil, r.AgentID, r.inflightSeq, array)
 
 		backoff := baseBackoff
 		sent := false
@@ -231,6 +236,22 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 	return nil
 }
 
+// dropUnencodable removes from the inflight chunk the samples no encoder
+// can represent, counting them in droppedQueue.
+func (r *ReliableSender) dropUnencodable(fc *floatCache) {
+	kept := r.inflight[:0]
+	var scratch []byte
+	for i := range r.inflight {
+		var err error
+		if scratch, err = appendSampleWire(scratch[:0], &r.inflight[i], fc); err != nil {
+			r.droppedQueue++
+			continue
+		}
+		kept = append(kept, r.inflight[i])
+	}
+	r.inflight = kept
+}
+
 // tryOnce performs one envelope write + ack read round trip.
 func (r *ReliableSender) tryOnce(ctx context.Context, envelope []byte) (ackResult, error) {
 	if err := r.ensureConn(ctx); err != nil {
@@ -243,6 +264,12 @@ func (r *ReliableSender) tryOnce(ctx context.Context, envelope []byte) (ackResul
 	if err := r.conn.SetDeadline(deadline); err != nil {
 		return ackResult{}, err
 	}
+	// A cancellation mid-write or mid-read would otherwise wait out the
+	// full deadline against a peer that stopped reading; poking an
+	// expired deadline fails the blocked call now.
+	conn := r.conn
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
 	if _, err := r.conn.Write(envelope); err != nil {
 		return ackResult{}, err
 	}

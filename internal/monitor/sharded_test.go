@@ -282,7 +282,7 @@ func TestHourlySeriesEquivalence(t *testing.T) {
 // ---- concurrency wall ----
 
 // TestShardedWarehouseConcurrency drives every write path (Ingest,
-// IngestBatch, TCP batch frames) and every read path concurrently under
+// IngestBatch, TCP envelopes) and every read path concurrently under
 // the race detector, then checks nothing was lost or double-counted.
 func TestShardedWarehouseConcurrency(t *testing.T) {
 	w := NewWarehouseShards(0, 8)
@@ -336,7 +336,12 @@ func TestShardedWarehouseConcurrency(t *testing.T) {
 		id := fmt.Sprintf("cw-tcp-%d", i)
 		allIDs = append(allIDs, trace.ServerID(id))
 		spawn(id, func(id trace.ServerID) error {
-			return SendBatch(ctx, addr, benchSamples(string(id), per))
+			sender := &ReliableSender{Addr: addr, AgentID: string(id), MaxPending: per}
+			defer sender.Close()
+			for _, s := range benchSamples(string(id), per) {
+				sender.Queue(s)
+			}
+			return sender.Flush(ctx, 3)
 		})
 	}
 
@@ -493,13 +498,13 @@ func TestWarehouseAcceptRecovers(t *testing.T) {
 
 	client, server := net.Pipe()
 	lis.conns <- server
-	line, err := json.Marshal(Sample{Server: "recovered", Timestamp: benchEpoch,
-		TotalProcessorPct: 42, MemCommittedMB: 256})
+	array, err := appendSampleArray(nil, []Sample{{Server: "recovered", Timestamp: benchEpoch,
+		TotalProcessorPct: 42, MemCommittedMB: 256}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		client.Write(append(line, '\n')) //nolint:errcheck
+		client.Write(appendEnvelope(nil, "recovered", 1, array)) //nolint:errcheck
 		client.Close()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -558,11 +563,12 @@ func TestServeConnDeadlineError(t *testing.T) {
 	})
 }
 
-// ---- SendBatch cancellation ----
+// ---- send cancellation ----
 
 // TestSendBatchCancel proves a stalled warehouse cannot hang a backfill:
-// the peer accepts but never reads, and cancellation must fail the call
-// promptly rather than after the full write deadline.
+// the peer accepts but never reads, and cancelling ReliableSender.Flush
+// must fail the call promptly rather than after the full write/ack
+// deadline.
 func TestSendBatchCancel(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -585,10 +591,15 @@ func TestSendBatchCancel(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
+	sender := &ReliableSender{Addr: lis.Addr().String(), AgentID: "cancel", MaxPending: 50000}
+	defer sender.Close()
+	for _, s := range benchSamples("cancel", 50000) {
+		sender.Queue(s)
+	}
 	start := time.Now()
-	err = SendBatch(ctx, lis.Addr().String(), benchSamples("cancel", 50000))
+	err = sender.Flush(ctx, 3)
 	if err == nil {
-		t.Fatal("SendBatch returned nil against a peer that never reads")
+		t.Fatal("Flush returned nil against a peer that never reads")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; the deadline poke is not working", elapsed)

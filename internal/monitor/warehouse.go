@@ -18,10 +18,9 @@ import (
 )
 
 // DefaultMaxLineBytes bounds one JSON line on an ingestion or query
-// connection. An agent sample is a few hundred bytes and a batch frame a
-// few hundred KB at most; anything near this limit is garbage or an
-// attack, and the connection is dropped rather than buffered without
-// bound.
+// connection. An envelope of batchChunk samples is a few hundred KB at
+// most; anything near this limit is garbage or an attack, and the
+// connection is dropped rather than buffered without bound.
 const DefaultMaxLineBytes = 1 << 20
 
 // DefaultIngestShards is the shard count NewWarehouse uses. It is a fixed
@@ -118,12 +117,12 @@ type serverCache struct {
 	ids []trace.ServerID
 }
 
-// Warehouse is the central monitoring store: it accepts JSON samples over
-// TCP — one object per line, or a batch frame holding a JSON array of
-// objects — retains them under a retention policy, and aggregates them
-// into the hourly-average series consolidation planning consumes. Storage
-// is sharded by ServerID hash so concurrent agents and query clients do
-// not contend on one lock.
+// Warehouse is the central monitoring store: it accepts samples over TCP
+// as acked envelopes (see envelope.go; ReliableSender is the client),
+// retains them under a retention policy, and aggregates them into the
+// hourly-average series consolidation planning consumes. Storage is
+// sharded by ServerID hash so concurrent agents and query clients do not
+// contend on one lock.
 type Warehouse struct {
 	// Retention drops samples older than this relative to the newest
 	// sample of the same server (0 keeps everything). The paper's
@@ -133,9 +132,10 @@ type Warehouse struct {
 	// than this (0 disables). Agents reconnect with backoff, so a hung
 	// peer costs a file descriptor for at most one timeout.
 	ReadTimeout time.Duration
-	// MaxLineBytes bounds one JSON line (default DefaultMaxLineBytes);
-	// a connection exceeding it is closed. Malformed lines within the
-	// bound are counted as dropped and the connection stays usable.
+	// MaxLineBytes bounds one envelope line (default
+	// DefaultMaxLineBytes); a connection exceeding it is closed. Any
+	// line within the bound that is not a valid envelope is counted in
+	// corruptFrames and closes the connection too.
 	MaxLineBytes int
 	// WriteTimeout bounds each envelope acknowledgment write (0 falls
 	// back to batchWriteTimeout). A client too slow to drain its acks is
@@ -170,11 +170,11 @@ type Warehouse struct {
 	limiter       atomic.Pointer[tokenBucket]
 	shedIngest    atomic.Int64 // network samples refused by the limiter
 	ackedSamples  atomic.Int64 // samples admitted through acked envelopes
-	corruptFrames atomic.Int64 // envelopes rejected by parse or CRC
+	corruptFrames atomic.Int64 // lines rejected as non-envelopes, by parse or by CRC
 	slowClients   atomic.Int64 // connections cut on a stalled ack write
 
 	ackMu   sync.Mutex
-	lastAck map[string]ackResult // per-agent last envelope result, for exactly-once retries
+	lastAck map[string]lastEnvelope // per-agent last envelope, for exactly-once retries
 
 	serverGen  atomic.Uint64 // bumped after a new server's map insert
 	serverList atomic.Pointer[serverCache]
@@ -211,7 +211,7 @@ func NewWarehouseShards(retention time.Duration, shards int) *Warehouse {
 		Retention: retention,
 		shards:    make([]shard, shards),
 		conns:     make(map[net.Conn]struct{}),
-		lastAck:   make(map[string]ackResult),
+		lastAck:   make(map[string]lastEnvelope),
 		shutdown:  make(chan struct{}),
 	}
 	for i := range w.shards {
@@ -361,14 +361,12 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLineBytes
 	}
-	// Line-based ingestion with a bounded buffer: one malformed line is
-	// one dropped sample (or one dropped batch), not a poisoned stream,
-	// and an oversized line ends the connection instead of growing the
-	// buffer without bound.
+	// Line-based ingestion with a bounded buffer: an oversized line ends
+	// the connection instead of growing the buffer without bound.
 	sc := bufio.NewScanner(conn)
 	// Scanner treats max(cap(buf), limit) as the token bound, so the
-	// initial buffer must not exceed the configured limit. Batch frames
-	// run to ~128 KiB, so starting near that size skips the grow-and-copy
+	// initial buffer must not exceed the configured limit. Envelopes run
+	// to ~128 KiB, so starting near that size skips the grow-and-copy
 	// ladder on every connection.
 	sc.Buffer(make([]byte, 0, min(128*1024, maxLine)), maxLine)
 	// Server IDs repeat on every sample of a connection; interning them
@@ -388,40 +386,12 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 			// EOF, read timeout, or a line beyond MaxLineBytes.
 			return
 		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+		// Every line must be an acked envelope: parse, CRC-check, admit,
+		// acknowledge. Anything else closes the connection so the sender
+		// retries the whole frame instead of trusting a mangled one.
+		if !w.serveEnvelope(conn, bytes.TrimSpace(sc.Bytes()), batch[:0], intern) {
+			return
 		}
-		if bytes.HasPrefix(line, envelopePrefix) {
-			// Acked envelope: parse, CRC-check, admit, acknowledge. A
-			// protocol error closes the connection so the sender retries
-			// the whole frame instead of trusting a mangled one.
-			if !w.serveEnvelope(conn, line, batch[:0], intern) {
-				return
-			}
-			continue
-		}
-		if line[0] == '[' {
-			// Batch frame: a JSON array of sample objects on one line.
-			var err error
-			batch, err = decodeBatch(line, batch[:0], intern)
-			if err != nil {
-				w.droppedMisc.Add(1)
-				continue
-			}
-			granted := w.admit(batch)
-			w.IngestBatch(batch[:granted])
-			continue
-		}
-		s, err := decodeSample(line, intern)
-		if err != nil {
-			w.droppedMisc.Add(1)
-			continue
-		}
-		if w.admit([]Sample{s}) == 0 {
-			continue
-		}
-		w.Ingest(s)
 	}
 }
 
@@ -468,15 +438,23 @@ func (w *Warehouse) admit(batch []Sample) int {
 	return granted
 }
 
-// serveEnvelope handles one acked envelope line; false means the
-// connection must close (protocol violation or unwritable ack).
+// lastEnvelope is what the warehouse remembers per agent: the last
+// envelope's ack, and its CRC so that only a byte-identical retry replays
+// it.
+type lastEnvelope struct {
+	ack ackResult
+	crc uint32
+}
+
+// serveEnvelope handles one line, which must be an acked envelope; false
+// means the connection must close (protocol violation or unwritable ack).
 func (w *Warehouse) serveEnvelope(conn net.Conn, line []byte, batch []Sample, intern map[string]trace.ServerID) bool {
-	agent, seq, rawSamples, err := decodeEnvelope(line)
+	env, err := decodeEnvelope(line)
 	if err != nil {
 		w.corruptFrames.Add(1)
 		return false
 	}
-	batch, err = decodeBatch(rawSamples, batch, intern)
+	batch, err = decodeBatch(env.samples, batch, intern)
 	if err != nil {
 		// The CRC passed, so the sender really framed an undecodable
 		// array — same contract as a corrupt frame: refuse and close.
@@ -484,21 +462,24 @@ func (w *Warehouse) serveEnvelope(conn net.Conn, line []byte, batch []Sample, in
 		return false
 	}
 
-	// Exactly-once: a duplicate sequence re-acks the ORIGINAL counts
-	// without touching storage, so a retry after a lost ack neither
+	// Exactly-once: a retry — same seq, same bytes — re-acks the ORIGINAL
+	// counts without touching storage, so a retry after a lost ack neither
 	// double-ingests nor double-counts. The map is per-agent, and the
-	// sender never advances seq until the previous one is acked.
+	// sender never advances seq until the previous one is acked. The CRC
+	// is part of the key because a restarted sender starts again at seq 1:
+	// different samples under a remembered seq are new data, not a retry.
 	w.ackMu.Lock()
-	res, replay := w.lastAck[agent]
-	if !replay || res.seq != seq {
+	last, replay := w.lastAck[env.agent]
+	res := last.ack
+	if !replay || res.seq != env.seq || last.crc != env.crc {
 		granted := w.admit(batch)
 		// The ack may only claim what the journal actually made durable: a
 		// disk that fills mid-envelope sheds the batch's tail instead of
 		// acking samples that were never stored.
 		ok := w.ingestBatchDurable(batch[:granted])
 		w.ackedSamples.Add(int64(ok))
-		res = ackResult{seq: seq, ok: ok, shed: len(batch) - ok}
-		w.lastAck[agent] = res
+		res = ackResult{seq: env.seq, ok: ok, shed: len(batch) - ok}
+		w.lastAck[env.agent] = lastEnvelope{ack: res, crc: env.crc}
 	}
 	w.ackMu.Unlock()
 

@@ -18,13 +18,13 @@ import (
 // json.Unmarshal paths for every input, because the fast paths bail out on
 // ANY deviation from the strict grammar rather than guessing.
 
-// batchChunk is how many samples SendBatch and the agent pack into one
-// batch frame: large enough to amortize the syscall and lock, small
-// enough that a frame stays far below DefaultMaxLineBytes.
+// batchChunk is how many samples a ReliableSender packs into one envelope
+// by default: large enough to amortize the syscall, lock and ack round
+// trip, small enough that an envelope stays far below DefaultMaxLineBytes.
 const batchChunk = 512
 
-// batchWriteTimeout bounds one chunk flush so a stalled warehouse cannot
-// hang a backfill forever.
+// batchWriteTimeout bounds one envelope write or ack read so a stalled
+// peer cannot hang a sender or a warehouse handler forever.
 const batchWriteTimeout = 30 * time.Second
 
 var batchPool = sync.Pool{New: func() any { return make([]Sample, 0, batchChunk) }}
@@ -175,10 +175,10 @@ func appendSampleWire(dst []byte, s *Sample, fc *floatCache) ([]byte, error) {
 	return append(dst, enc...), nil
 }
 
-// appendBatchFrame appends one batch frame — a JSON array of sample
-// objects on a single '\n'-terminated line — for up to len(samples)
-// samples. fc carries the sender's float memo across frames.
-func appendBatchFrame(dst []byte, samples []Sample, fc *floatCache) ([]byte, error) {
+// appendSampleArray appends samples as one JSON array — an envelope's
+// samples field, exactly the bytes its CRC covers. fc carries the
+// sender's float memo across envelopes.
+func appendSampleArray(dst []byte, samples []Sample, fc *floatCache) ([]byte, error) {
 	dst = append(dst, '[')
 	for i := range samples {
 		if i > 0 {
@@ -190,7 +190,7 @@ func appendBatchFrame(dst []byte, samples []Sample, fc *floatCache) ([]byte, err
 			return dst, err
 		}
 	}
-	return append(dst, ']', '\n'), nil
+	return append(dst, ']'), nil
 }
 
 // --- decoding ---
@@ -528,26 +528,10 @@ func (p *wireParser) object(s *Sample, intern map[string]trace.ServerID) bool {
 	}
 }
 
-// decodeSample decodes one per-line sample object exactly as
-// json.Unmarshal would, via the fast path when the line is in the strict
-// grammar.
-func decodeSample(line []byte, intern map[string]trace.ServerID) (Sample, error) {
-	p := wireParser{b: line}
-	var s Sample
-	if p.object(&s, intern) && p.pos == len(line) {
-		return s, nil
-	}
-	var slow Sample
-	if err := json.Unmarshal(line, &slow); err != nil {
-		return Sample{}, err
-	}
-	return slow, nil
-}
-
-// decodeBatch decodes a batch frame (a JSON array of sample objects) into
-// dst. On any fast-path surprise the whole frame is re-decoded with
-// encoding/json, so a frame is either decoded fully or rejected as a
-// unit.
+// decodeBatch decodes an envelope's samples (a JSON array of sample
+// objects) into dst exactly as json.Unmarshal into []Sample would. On any
+// fast-path surprise the whole array is re-decoded with encoding/json, so
+// a batch is either decoded fully or rejected as a unit.
 func decodeBatch(line []byte, dst []Sample, intern map[string]trace.ServerID) ([]Sample, error) {
 	p := wireParser{b: line}
 	out := dst

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,15 +146,24 @@ func TestDecodeSampleDifferential(t *testing.T) {
 	}
 	intern := make(map[string]trace.ServerID)
 	for _, line := range lines {
-		var want Sample
-		wantErr := json.Unmarshal([]byte(line), &want)
-		got, gotErr := decodeSample([]byte(line), intern)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("decodeSample(%q) err = %v; json err = %v", line, gotErr, wantErr)
-		}
-		if wantErr == nil && got != want {
-			t.Fatalf("decodeSample(%q)\n got %+v\nwant %+v", line, got, want)
-		}
+		checkDecodeBatch(t, []byte(line), intern)
+	}
+}
+
+// checkDecodeBatch wraps one sample line as a one-element envelope array,
+// [line], and holds decodeBatch to json.Unmarshal into []Sample: equal
+// values, or both fail.
+func checkDecodeBatch(t *testing.T, line []byte, intern map[string]trace.ServerID) {
+	t.Helper()
+	array := append(append([]byte{'['}, line...), ']')
+	var want []Sample
+	wantErr := json.Unmarshal(array, &want)
+	got, gotErr := decodeBatch(array, nil, intern)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("decodeBatch(%q) err = %v; json err = %v", array, gotErr, wantErr)
+	}
+	if wantErr == nil && !slices.Equal(got, want) {
+		t.Fatalf("decodeBatch(%q)\n got %+v\nwant %+v", array, got, want)
 	}
 }
 
@@ -163,15 +173,12 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		samples = append(samples, wireSample(i))
 	}
 	samples = append(samples, Sample{Server: "needs<escape>", Timestamp: time.Unix(99, 0).UTC()})
-	frame, err := appendBatchFrame(nil, samples, nil)
+	frame, err := appendSampleArray(nil, samples, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[len(frame)-1] != '\n' {
-		t.Fatal("frame is not newline-terminated")
-	}
 	intern := make(map[string]trace.ServerID)
-	got, err := decodeBatch(bytes.TrimSpace(frame), nil, intern)
+	got, err := decodeBatch(frame, nil, intern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +202,8 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzDecodeSample holds the fast decoder to json.Unmarshal's judgment on
-// arbitrary bytes: same accept/reject decision, same decoded sample.
+// arbitrary bytes wrapped as a sample array: same accept/reject decision,
+// same decoded samples.
 func FuzzDecodeSample(f *testing.F) {
 	f.Add([]byte(`{"server":"a","ts":"2012-06-04T00:00:00Z","cpuTotalPct":42.5,"memMB":2048}`))
 	f.Add([]byte(`{"server":"a","ts":"2012-06-04T00:00:00.123456789Z"}`))
@@ -205,16 +213,7 @@ func FuzzDecodeSample(f *testing.F) {
 	f.Add([]byte(`{"server":"dup","server":"b","memMB":1,"memMB":2}`))
 	f.Add([]byte(`[{"server":"a"},{"server":"b"}]`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		intern := make(map[string]trace.ServerID)
-		var want Sample
-		wantErr := json.Unmarshal(line, &want)
-		got, gotErr := decodeSample(line, intern)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("decodeSample(%q) err = %v; json err = %v", line, gotErr, wantErr)
-		}
-		if wantErr == nil && got != want {
-			t.Fatalf("decodeSample(%q)\n got %+v\nwant %+v", line, got, want)
-		}
+		checkDecodeBatch(t, line, make(map[string]trace.ServerID))
 	})
 }
 

@@ -374,11 +374,6 @@ func NewTraceSource(st *ServerTrace, epoch time.Time, seed int64) (MonitorSource
 	return monitor.NewTraceSource(st, epoch, seed)
 }
 
-// SendMonitorBatch ships samples to a warehouse over one TCP connection.
-func SendMonitorBatch(ctx context.Context, addr string, samples []MonitorSample) error {
-	return monitor.SendBatch(ctx, addr, samples)
-}
-
 // Runtime controller: the live dynamic-consolidation loop of the paper's
 // deployed systems [25, 28].
 type (
@@ -452,7 +447,7 @@ func OpenControllerJournal(dir string, opts WALOptions) (*ControllerJournal, err
 // (seed, operation, path, call index).
 type (
 	// FS is the filesystem surface of the durable paths (WAL segments,
-	// journals, checkpoints, snapshots). Set WALOptions.FS to substitute.
+	// journals, checkpoints). Set WALOptions.FS to substitute.
 	FS = fsx.FS
 	// FSFile is one open file on an FS.
 	FSFile = fsx.File
